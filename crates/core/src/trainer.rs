@@ -349,8 +349,8 @@ impl<T: Transport> GtvTrainer<T> {
     }
 
     /// One server→clients fan-out phase (DESIGN.md §10). Pipelined: every
-    /// message is sent first (payloads encode concurrently on the tensor
-    /// worker pool), then each recipient pops its delivery in message order.
+    /// message is sent first (one `send_all`), then the recipients pop
+    /// their deliveries in message order (one `recv_each`).
     /// Lockstep: each message waits for its delivery before the next send.
     /// Both schedules move the same bytes over the same links in the same
     /// per-party order, so they are observation- and training-identical.
@@ -359,9 +359,7 @@ impl<T: Transport> GtvTrainer<T> {
             let expects: Vec<(PartyId, &'static str)> =
                 msgs.iter().map(|&(_, to, ref m)| (to, m.kind())).collect();
             self.network.send_all(msgs)?;
-            for (to, expected) in expects {
-                let _ = self.network.recv_expect(to, expected)?;
-            }
+            self.network.recv_each(&expects)?;
         } else {
             for (from, to, msg) in msgs {
                 let expected = msg.kind();

@@ -30,7 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Accept-loop and per-read poll period (stop-flag latency).
+/// Accept-loop poll tick: it bounds how long a fresh dial waits to be
+/// accepted.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
+/// Per-read poll period (stop-flag latency while a client is connected).
 const SERVE_POLL: Duration = Duration::from_millis(20);
 /// Poll ticks a handshake may take before giving up (≈5 s).
 const HANDSHAKE_POLLS: u32 = 250;
@@ -283,7 +286,7 @@ impl SynthServer {
             };
             match self.accept()? {
                 Some(stream) => total += self.serve_conn(stream, remaining).unwrap_or(0),
-                None => std::thread::sleep(SERVE_POLL),
+                None => std::thread::sleep(POLL_INTERVAL),
             }
         }
         Ok(total)

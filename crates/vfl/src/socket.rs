@@ -13,6 +13,9 @@
 //! * peer crash / EOF surfaces as [`TransportError::PeerDisconnected`],
 //!   never a panic or an indefinite block (every read is deadline-bounded).
 //!
+//! A fan-out phase (`send_all`, then `recv_each`) costs one write burst and
+//! one read burst per link, not a blocking round trip per message.
+//!
 //! Byte accounting is identical to the in-process backend: the shared
 //! [`Meter`] counts the encoded message body only — frame headers and acks
 //! are a property of the medium, not the protocol — so [`NetStats`] from a
@@ -150,51 +153,58 @@ pub mod framing {
 
     /// Encodes one frame as `u32-le body length ++ body`.
     pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut out = Vec::new();
+        encode_frame_into(frame, &mut out);
+        out
+    }
+
+    /// Appends one encoded frame to `out`, so a burst of frames bound for
+    /// one link can leave in a single write.
+    pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
         match frame {
             Frame::Hello { protocol, wire, party } => {
-                body.push(0);
-                put_u32(&mut body, *protocol);
-                put_u32(&mut body, *wire);
-                put_party(&mut body, *party);
+                out.push(0);
+                put_u32(out, *protocol);
+                put_u32(out, *wire);
+                put_party(out, *party);
             }
             Frame::HelloAck { protocol, wire } => {
-                body.push(1);
-                put_u32(&mut body, *protocol);
-                put_u32(&mut body, *wire);
+                out.push(1);
+                put_u32(out, *protocol);
+                put_u32(out, *wire);
             }
             Frame::HelloReject { reason } => {
-                body.push(2);
+                out.push(2);
                 let bytes = reason.as_bytes();
                 let n = bytes.len().min(MAX_REJECT_REASON);
-                body.extend_from_slice(&(n as u16).to_le_bytes());
-                body.extend_from_slice(&bytes[..n]);
+                out.extend_from_slice(&(n as u16).to_le_bytes());
+                out.extend_from_slice(&bytes[..n]);
             }
             Frame::Deliver { from, payload } => {
-                body.push(3);
-                put_party(&mut body, *from);
-                body.extend_from_slice(payload);
+                out.push(3);
+                put_party(out, *from);
+                out.extend_from_slice(payload);
             }
-            Frame::DeliverAck => body.push(4),
+            Frame::DeliverAck => out.push(4),
             Frame::RecvReq { timeout_ms } => {
-                body.push(5);
-                put_u64(&mut body, *timeout_ms);
+                out.push(5);
+                put_u64(out, *timeout_ms);
             }
-            Frame::TryRecvReq => body.push(6),
+            Frame::TryRecvReq => out.push(6),
             Frame::Msg { from, payload } => {
-                body.push(7);
-                put_party(&mut body, *from);
-                body.extend_from_slice(payload);
+                out.push(7);
+                put_party(out, *from);
+                out.extend_from_slice(payload);
             }
-            Frame::Empty => body.push(8),
-            Frame::TimedOut => body.push(9),
+            Frame::Empty => out.push(8),
+            Frame::TimedOut => out.push(9),
         }
-        let mut out = Vec::with_capacity(4 + body.len());
+        let body_len = out.len() - start - 4;
         // Wire messages are bounded well below MAX_FRAME_BODY < u32::MAX.
-        debug_assert!(body.len() <= MAX_FRAME_BODY, "internal frames stay under the bound");
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        debug_assert!(body_len <= MAX_FRAME_BODY, "internal frames stay under the bound");
+        out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
     }
 
     fn bad(detail: String) -> TransportError {
@@ -396,10 +406,12 @@ const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 /// Slack added to a node-side bounded wait before the dialer's own read
 /// deadline fires (the node answers `TimedOut` first in the healthy case).
 const RECV_MARGIN: Duration = Duration::from_secs(2);
-/// Node-side poll tick: bounded waits sleep in these steps instead of
-/// reading a wall clock (denied on library paths by the determinism lint).
+/// Node-side poll tick: bounded waits and the accept loop sleep in these
+/// steps instead of reading a wall clock (denied on library paths by the
+/// determinism lint). It bounds how long a fresh dial waits for its hello.
 const POLL_INTERVAL: Duration = Duration::from_millis(1);
-/// Accept-loop and per-connection read poll period (stop-flag latency).
+/// Per-connection read poll period (stop-flag latency while a dialer is
+/// connected).
 const SERVE_POLL: Duration = Duration::from_millis(20);
 
 fn backoff(attempt: u32) -> Duration {
@@ -425,6 +437,15 @@ impl Stream {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nb),
             Stream::Unix(s) => s.set_nonblocking(nb),
+        }
+    }
+
+    /// Turns Nagle's algorithm off on TCP links: a burst of small frames
+    /// would otherwise wait on the peer's delayed ACK.
+    fn set_nodelay(&self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nodelay(true),
+            Stream::Unix(_) => Ok(()),
         }
     }
 
@@ -466,23 +487,30 @@ impl Write for Stream {
 }
 
 fn dial(endpoint: &Endpoint) -> std::io::Result<Stream> {
-    match endpoint {
+    let stream = match endpoint {
         Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Stream::Tcp),
         Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-    }
+    }?;
+    stream.set_nodelay()?;
+    Ok(stream)
 }
 
 fn setup_failed(what: &str, detail: impl fmt::Display) -> TransportError {
     TransportError::HandshakeFailed { reason: format!("{what}: {detail}") }
 }
 
-/// Writes one frame; a broken pipe reports the peer as disconnected.
-fn write_frame(stream: &mut Stream, frame: &Frame, party: PartyId) -> Result<(), TransportError> {
-    let bytes = framing::encode_frame(frame);
+/// Writes encoded frames as one write; a broken pipe reports the peer as
+/// disconnected.
+fn write_bytes(stream: &mut Stream, bytes: &[u8], party: PartyId) -> Result<(), TransportError> {
     stream
-        .write_all(&bytes)
+        .write_all(bytes)
         .and_then(|()| stream.flush())
         .map_err(|_| TransportError::PeerDisconnected { party })
+}
+
+/// Writes one frame; a broken pipe reports the peer as disconnected.
+fn write_frame(stream: &mut Stream, frame: &Frame, party: PartyId) -> Result<(), TransportError> {
+    write_bytes(stream, &framing::encode_frame(frame), party)
 }
 
 /// Reads one complete frame, honoring the stream's configured read
@@ -494,11 +522,13 @@ fn read_frame(
     party: PartyId,
     on_timeout: impl Fn() -> TransportError,
 ) -> Result<Frame, TransportError> {
-    let mut chunk = [0u8; 65536];
     loop {
+        // A burst's replies mostly arrive together: only zero a read
+        // buffer when the buffered bytes hold no complete frame.
         if let Some(frame) = fb.next_frame()? {
             return Ok(frame);
         }
+        let mut chunk = [0u8; 65536];
         match stream.read(&mut chunk) {
             Ok(0) => return Err(TransportError::PeerDisconnected { party }),
             Ok(n) => fb.extend(&chunk[..n]),
@@ -601,7 +631,7 @@ impl PartyNode {
                 Some(stream) => {
                     let _ = self.serve_conn(stream);
                 }
-                None => std::thread::sleep(SERVE_POLL),
+                None => std::thread::sleep(POLL_INTERVAL),
             }
         }
         Ok(())
@@ -616,9 +646,10 @@ impl PartyNode {
             Ok(stream) => {
                 // The listener is non-blocking (to poll the stop flag); the
                 // accepted stream blocks with a short read timeout instead.
-                stream.set_nonblocking(false).map_err(|e| setup_failed("accepted stream", e))?;
                 stream
-                    .set_read_timeout(Some(SERVE_POLL))
+                    .set_nonblocking(false)
+                    .and_then(|()| stream.set_read_timeout(Some(SERVE_POLL)))
+                    .and_then(|()| stream.set_nodelay())
                     .map_err(|e| setup_failed("accepted stream", e))?;
                 Ok(Some(stream))
             }
@@ -754,6 +785,50 @@ struct RemoteParty {
     link: Option<Link>,
 }
 
+/// One party's share of a [`SocketTransport::exchange`]: the request
+/// frames for its link, in order, each tagged with the caller's position
+/// it serves, and the replies read back so far.
+struct LinkBatch {
+    party: PartyId,
+    requests: Vec<(usize, Frame)>,
+    replies: Vec<Frame>,
+    /// Set when the link failed for good; `replies.len()` is where.
+    failed: Option<TransportError>,
+    /// Whether this exchange already spent its one redial.
+    redialed: bool,
+}
+
+impl LinkBatch {
+    fn new(party: PartyId) -> Self {
+        Self { party, requests: Vec::new(), replies: Vec::new(), failed: None, redialed: false }
+    }
+
+    /// Appends `request` (serving caller position `at`) to `party`'s batch,
+    /// opening the batch on first use so batches keep the order of their
+    /// first request. Returns the batch's index.
+    fn push(batches: &mut Vec<LinkBatch>, party: PartyId, at: usize, request: Frame) -> usize {
+        let idx = match batches.iter().position(|b| b.party == party) {
+            Some(idx) => idx,
+            None => {
+                batches.push(LinkBatch::new(party));
+                batches.len() - 1
+            }
+        };
+        batches[idx].requests.push((at, request));
+        idx
+    }
+}
+
+/// Where one position of a receive batch is popped from.
+enum Source {
+    /// A local inbox in this process.
+    Local,
+    /// The `usize`-th link batch of the exchange.
+    Remote(usize),
+    /// Known to fail before any frame is written.
+    Fail(TransportError),
+}
+
 /// The socket [`Transport`] backend driven by the orchestrating process.
 ///
 /// Parties with an endpoint in the roster are *remote*: every message to or
@@ -864,14 +939,19 @@ impl SocketTransport {
         self.dead.lock().contains(&party)
     }
 
-    /// Severs `party`'s link: the socket (if any) is shut down, the local
-    /// inbox (if any) is dropped, and the party is marked dead.
-    fn sever(&self, party: PartyId) {
+    /// Closes `party`'s socket, if one is open; the next exchange redials.
+    fn drop_link(&self, party: PartyId) {
         if let Some(remote) = self.remotes.lock().get_mut(&party) {
             if let Some(link) = remote.link.take() {
                 link.stream.shutdown();
             }
         }
+    }
+
+    /// Severs `party`'s link: the socket (if any) is shut down, the local
+    /// inbox (if any) is dropped, and the party is marked dead.
+    fn sever(&self, party: PartyId) {
+        self.drop_link(party);
         self.local.lock().remove(&party);
         self.dead.lock().insert(party);
     }
@@ -893,69 +973,143 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// One request/reply exchange on `party`'s link. A broken link redials
-    /// once (bounded backoff inside [`open_link`]); a second break marks the
-    /// party dead and reports [`TransportError::PeerDisconnected`]. Note a
-    /// retried `Deliver` whose first copy actually landed surfaces upstream
-    /// as a duplicate-message protocol violation — detected, not silent.
-    fn transact(
+    /// Runs `f` on `party`'s open link; a missing link reads as a broken one.
+    fn with_link<R>(
         &self,
         party: PartyId,
-        request: &Frame,
-        read_timeout: Duration,
-    ) -> Result<Frame, TransportError> {
-        for attempt in 0..2u32 {
-            if let Err(e) = self.ensure_link(party) {
-                // A redial that cannot re-establish a link that existed at
-                // construction means the peer is gone, not misconfigured.
-                self.dead.lock().insert(party);
-                return Err(match e {
-                    TransportError::HandshakeFailed { .. } => {
-                        TransportError::PeerDisconnected { party }
-                    }
-                    other => other,
-                });
-            }
-            let mut remotes = self.remotes.lock();
-            let Some(remote) = remotes.get_mut(&party) else {
-                return Err(TransportError::UnknownParty(party));
-            };
-            let Some(link) = remote.link.as_mut() else {
-                continue;
-            };
-            let meter = &self.meter;
-            let exchange = (|| {
-                link.stream
-                    .set_read_timeout(Some(read_timeout))
-                    .map_err(|_| TransportError::PeerDisconnected { party })?;
-                write_frame(&mut link.stream, request, party)?;
-                read_frame(&mut link.stream, &mut link.fb, party, || {
-                    meter.timeout_error(party, read_timeout)
-                })
-            })();
-            match exchange {
-                Ok(frame) => return Ok(frame),
-                Err(TransportError::PeerDisconnected { .. }) if attempt == 0 => {
-                    // Drop the broken link; the next loop iteration redials.
-                    remote.link = None;
-                }
-                Err(TransportError::PeerDisconnected { .. }) => {
-                    remote.link = None;
-                    drop(remotes);
-                    self.dead.lock().insert(party);
-                    return Err(TransportError::PeerDisconnected { party });
-                }
-                Err(e) => return Err(e),
-            }
+        f: impl FnOnce(&mut Link) -> Result<R, TransportError>,
+    ) -> Result<R, TransportError> {
+        let mut remotes = self.remotes.lock();
+        match remotes.get_mut(&party).and_then(|r| r.link.as_mut()) {
+            Some(link) => f(link),
+            None => Err(TransportError::PeerDisconnected { party }),
         }
-        self.dead.lock().insert(party);
-        Err(TransportError::PeerDisconnected { party })
     }
 
-    /// Routes one already-encoded message to a local inbox or over the
-    /// party's socket (shared tail of `send`).
-    fn deliver_encoded(
+    /// The one request/reply routine of the socket backend. Each batch's
+    /// requests leave as one coalesced write on its party's link, and only
+    /// once every burst is out are replies read: per link, one reply per
+    /// request, in request order (a link is FIFO both ways and its node
+    /// serves frames in arrival order, so reply k answers request k).
+    /// Single-message operations are the one-element case.
+    ///
+    /// A link that breaks redials once (bounded backoff inside
+    /// [`open_link`]) and resends its unanswered requests; a second break
+    /// marks the party dead and fails the batch with
+    /// [`TransportError::PeerDisconnected`]. Any other failure also closes
+    /// the link, so a stream with replies outstanding is never reused. A
+    /// resent `Deliver` whose first copy actually landed surfaces upstream
+    /// as a duplicate-message protocol violation — detected, not silent.
+    fn exchange(&self, batches: &mut [LinkBatch], read_timeout: Duration) {
+        for batch in batches.iter_mut() {
+            self.write_burst(batch, read_timeout);
+        }
+        for batch in batches.iter_mut() {
+            while batch.failed.is_none() && batch.replies.len() < batch.requests.len() {
+                let meter = &self.meter;
+                let party = batch.party;
+                let reply = self.with_link(party, |link| {
+                    read_frame(&mut link.stream, &mut link.fb, party, || {
+                        meter.timeout_error(party, read_timeout)
+                    })
+                });
+                match reply {
+                    Ok(frame) => batch.replies.push(frame),
+                    Err(e) => self.link_failed(batch, e, read_timeout),
+                }
+            }
+        }
+    }
+
+    /// Writes `batch`'s unanswered requests to its link in one write.
+    fn write_burst(&self, batch: &mut LinkBatch, read_timeout: Duration) {
+        let party = batch.party;
+        if let Err(e) = self.ensure_link(party) {
+            // A redial that cannot re-establish a link that existed at
+            // construction means the peer is gone, not misconfigured.
+            self.dead.lock().insert(party);
+            batch.failed = Some(match e {
+                TransportError::HandshakeFailed { .. } => {
+                    TransportError::PeerDisconnected { party }
+                }
+                other => other,
+            });
+            return;
+        }
+        let mut burst = Vec::new();
+        for (_, frame) in &batch.requests[batch.replies.len()..] {
+            framing::encode_frame_into(frame, &mut burst);
+        }
+        let written = self.with_link(party, |link| {
+            link.stream
+                .set_read_timeout(Some(read_timeout))
+                .map_err(|_| TransportError::PeerDisconnected { party })?;
+            write_bytes(&mut link.stream, &burst, party)
+        });
+        if let Err(e) = written {
+            self.link_failed(batch, e, read_timeout);
+        }
+    }
+
+    /// A failure on `batch`'s link: the first break redials and resends,
+    /// anything else ends the batch for this link.
+    fn link_failed(&self, batch: &mut LinkBatch, err: TransportError, read_timeout: Duration) {
+        let party = batch.party;
+        self.drop_link(party);
+        match err {
+            TransportError::PeerDisconnected { .. } if !batch.redialed => {
+                batch.redialed = true;
+                self.write_burst(batch, read_timeout);
+            }
+            TransportError::PeerDisconnected { .. } => {
+                self.dead.lock().insert(party);
+                batch.failed = Some(TransportError::PeerDisconnected { party });
+            }
+            other => batch.failed = Some(other),
+        }
+    }
+
+    /// `send`'s per-message checks, fault and metering, applied in input
+    /// order: returns the encoded body and how many copies of it go out
+    /// (0 under [`Fault::Drop`], 2 under [`Fault::Duplicate`]).
+    fn admit(
         &self,
+        from: PartyId,
+        to: PartyId,
+        msg: &Message,
+    ) -> Result<(Bytes, usize), TransportError> {
+        if self.is_dead(to) {
+            return Err(TransportError::PeerDisconnected { party: to });
+        }
+        if self.is_dead(from) {
+            return Err(TransportError::PeerDisconnected { party: from });
+        }
+        let fault = self.take_fault(from, to);
+        if fault == Some(Fault::Disconnect) {
+            // The link dies as the send begins: nothing reaches the wire,
+            // so nothing is metered (parity with the in-process backend).
+            self.sever(to);
+            return Err(TransportError::PeerDisconnected { party: to });
+        }
+        if !self.local.lock().contains_key(&to) && !self.remotes.lock().contains_key(&to) {
+            return Err(TransportError::UnknownRecipient(to));
+        }
+        let encoded = msg.encode_with(self.meter.codec());
+        self.meter.record(from, to, encoded.len());
+        let copies = match fault {
+            Some(Fault::Drop) => 0,
+            Some(Fault::Duplicate) => 2,
+            _ => 1,
+        };
+        Ok((encoded, copies))
+    }
+
+    /// Pushes one encoded message into a local inbox, or queues its
+    /// `Deliver` frame on the recipient's link batch.
+    fn route(
+        &self,
+        batches: &mut Vec<LinkBatch>,
+        at: usize,
         from: PartyId,
         to: PartyId,
         encoded: Bytes,
@@ -972,13 +1126,115 @@ impl SocketTransport {
         if !self.remotes.lock().contains_key(&to) {
             return Err(TransportError::UnknownRecipient(to));
         }
-        match self.transact(to, &Frame::Deliver { from, payload: encoded }, ACK_TIMEOUT)? {
-            Frame::DeliverAck => Ok(()),
-            other => Err(TransportError::Frame {
-                detail: format!("expected DeliverAck from {to}, got {other:?}"),
-            }),
+        LinkBatch::push(batches, to, at, Frame::Deliver { from, payload: encoded });
+        Ok(())
+    }
+
+    /// Pops `party`'s local inbox, sleep-polling in 1 ms ticks instead of
+    /// reading a wall clock (denied on library paths by the determinism
+    /// lint). Local inboxes are filled by this process's own sends, so the
+    /// first check succeeds in the healthy case.
+    fn pop_local(
+        &self,
+        party: PartyId,
+        timeout: Duration,
+    ) -> Result<(PartyId, Message), TransportError> {
+        let mut remaining = millis_of(timeout);
+        loop {
+            if let Some(inbox) = self.local.lock().get_mut(&party) {
+                if let Some(entry) = inbox.pop_front() {
+                    return Ok(entry);
+                }
+            } else {
+                // Severed while we were polling.
+                return Err(TransportError::PeerDisconnected { party });
+            }
+            if remaining == 0 {
+                return Err(self.meter.timeout_error(party, timeout));
+            }
+            std::thread::sleep(POLL_INTERVAL);
+            remaining -= 1;
         }
     }
+
+    /// The receive half of a phase: pops one message at each `(party,
+    /// kind)` position, in order, waiting up to `timeout` for each. Every
+    /// remote position is requested up front, one `RecvReq` burst per
+    /// link; replies are then consumed in position order and the first
+    /// failure (a timeout, a broken link, or — when `kind` is set — a
+    /// variant mismatch) ends the batch. Positions after it may already
+    /// have been popped at their node; the phase is aborted either way.
+    fn pop_each(
+        &self,
+        wants: &[(PartyId, Option<&'static str>)],
+        timeout: Duration,
+    ) -> Result<Vec<(PartyId, Message)>, TransportError> {
+        let timeout_ms = millis_of(timeout);
+        let mut batches: Vec<LinkBatch> = Vec::new();
+        let mut plan = Vec::with_capacity(wants.len());
+        for (at, &(party, _)) in wants.iter().enumerate() {
+            let source = if self.is_dead(party) {
+                Source::Fail(TransportError::PeerDisconnected { party })
+            } else if self.local.lock().contains_key(&party) {
+                Source::Local
+            } else if self.remotes.lock().contains_key(&party) {
+                Source::Remote(LinkBatch::push(
+                    &mut batches,
+                    party,
+                    at,
+                    Frame::RecvReq { timeout_ms },
+                ))
+            } else {
+                Source::Fail(TransportError::UnknownParty(party))
+            };
+            let known_bad = matches!(source, Source::Fail(_));
+            plan.push(source);
+            if known_bad {
+                break;
+            }
+        }
+        // The node waits `timeout_ms` then answers `TimedOut`; our own read
+        // deadline only fires if the node itself stopped responding.
+        self.exchange(&mut batches, timeout.saturating_add(RECV_MARGIN));
+        let mut replies: Vec<(std::vec::IntoIter<Frame>, Option<TransportError>)> =
+            batches.into_iter().map(|b| (b.replies.into_iter(), b.failed)).collect();
+        let mut out = Vec::with_capacity(wants.len());
+        for (&(party, kind), source) in wants.iter().zip(plan) {
+            let popped = match source {
+                Source::Local => self.pop_local(party, timeout),
+                Source::Remote(b) => {
+                    let (frames, failed) = &mut replies[b];
+                    match frames.next() {
+                        Some(Frame::Msg { from, payload }) => {
+                            Message::decode(payload).map(|msg| (from, msg)).map_err(Into::into)
+                        }
+                        Some(Frame::TimedOut) => Err(self.meter.timeout_error(party, timeout)),
+                        Some(other) => Err(TransportError::Frame {
+                            detail: format!("expected Msg/TimedOut from {party}, got {other:?}"),
+                        }),
+                        None => Err(failed
+                            .clone()
+                            .unwrap_or(TransportError::PeerDisconnected { party })),
+                    }
+                }
+                Source::Fail(e) => Err(e),
+            };
+            let (from, msg) = popped.map_err(|e| match kind {
+                Some(expected) => e.with_expecting(expected),
+                None => e,
+            })?;
+            if let Some(expected) = kind.filter(|&k| k != msg.kind()) {
+                return Err(TransportError::ProtocolViolation { from, expected, got: msg });
+            }
+            out.push((from, msg));
+        }
+        Ok(out)
+    }
+}
+
+/// `d` in whole milliseconds, saturating at `u64::MAX`.
+fn millis_of(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
 fn open_link(
@@ -1014,7 +1270,11 @@ fn handshake(
     stream
         .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
         .map_err(|e| setup_failed("socket setup", e))?;
-    write_frame(&mut stream, &Frame::Hello { protocol, wire, party }, party)?;
+    write_bytes(
+        &mut stream,
+        &framing::encode_frame(&Frame::Hello { protocol, wire, party }),
+        party,
+    )?;
     let mut fb = FrameBuf::new();
     let reply = read_frame(&mut stream, &mut fb, party, || TransportError::HandshakeFailed {
         reason: format!("{party} did not answer the hello within {HANDSHAKE_TIMEOUT:?}"),
@@ -1043,31 +1303,43 @@ fn handshake(
 
 impl Transport for SocketTransport {
     fn send(&self, from: PartyId, to: PartyId, msg: Message) -> Result<(), TransportError> {
-        if self.is_dead(to) {
-            return Err(TransportError::PeerDisconnected { party: to });
+        self.send_all(vec![(from, to, msg)])
+    }
+
+    /// Meters and encodes in input order exactly like a loop of `send`
+    /// (faults apply per message), then writes every remote `Deliver` as
+    /// one burst per link and reads the `DeliverAck`s only after all
+    /// bursts are out. Every `Deliver` is acknowledged before this returns.
+    /// An admission failure stops the batch at that message; a link
+    /// failure is reported against the earliest message it hit.
+    fn send_all(&self, msgs: Vec<(PartyId, PartyId, Message)>) -> Result<(), TransportError> {
+        let mut batches: Vec<LinkBatch> = Vec::new();
+        let mut first_err: Option<(usize, TransportError)> = None;
+        for (i, (from, to, msg)) in msgs.into_iter().enumerate() {
+            let queued = self.admit(from, to, &msg).and_then(|(encoded, copies)| {
+                (0..copies).try_for_each(|_| self.route(&mut batches, i, from, to, encoded.clone()))
+            });
+            if let Err(e) = queued {
+                first_err = Some((i, e));
+                break;
+            }
         }
-        if self.is_dead(from) {
-            return Err(TransportError::PeerDisconnected { party: from });
+        self.exchange(&mut batches, ACK_TIMEOUT);
+        for batch in &batches {
+            let acked = batch.replies.iter().take_while(|f| **f == Frame::DeliverAck).count();
+            let err = match (batch.replies.get(acked), &batch.failed) {
+                (Some(other), _) => TransportError::Frame {
+                    detail: format!("expected DeliverAck from {}, got {other:?}", batch.party),
+                },
+                (None, Some(e)) => e.clone(),
+                (None, None) => continue,
+            };
+            let at = batch.requests.get(acked).map_or(usize::MAX, |&(at, _)| at);
+            if first_err.as_ref().is_none_or(|&(i, _)| at < i) {
+                first_err = Some((at, err));
+            }
         }
-        let fault = self.take_fault(from, to);
-        if fault == Some(Fault::Disconnect) {
-            // The link dies as the send begins: nothing reaches the wire,
-            // so nothing is metered (parity with the in-process backend).
-            self.sever(to);
-            return Err(TransportError::PeerDisconnected { party: to });
-        }
-        if !self.local.lock().contains_key(&to) && !self.remotes.lock().contains_key(&to) {
-            return Err(TransportError::UnknownRecipient(to));
-        }
-        let encoded = msg.encode_with(self.meter.codec());
-        self.meter.record(from, to, encoded.len());
-        if fault == Some(Fault::Drop) {
-            return Ok(());
-        }
-        if fault == Some(Fault::Duplicate) {
-            self.deliver_encoded(from, to, encoded.clone())?;
-        }
-        self.deliver_encoded(from, to, encoded)
+        first_err.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     fn try_recv(&self, party: PartyId) -> Result<(PartyId, Message), TransportError> {
@@ -1083,12 +1355,17 @@ impl Transport for SocketTransport {
         if !self.remotes.lock().contains_key(&party) {
             return Err(TransportError::UnknownParty(party));
         }
-        match self.transact(party, &Frame::TryRecvReq, ACK_TIMEOUT)? {
-            Frame::Msg { from, payload } => Ok((from, Message::decode(payload)?)),
-            Frame::Empty => Err(TransportError::InboxEmpty(party)),
-            other => Err(TransportError::Frame {
+        let mut batch = [LinkBatch::new(party)];
+        batch[0].requests.push((0, Frame::TryRecvReq));
+        self.exchange(&mut batch, ACK_TIMEOUT);
+        let [LinkBatch { replies, failed, .. }] = batch;
+        match (replies.into_iter().next(), failed) {
+            (Some(Frame::Msg { from, payload }), _) => Ok((from, Message::decode(payload)?)),
+            (Some(Frame::Empty), _) => Err(TransportError::InboxEmpty(party)),
+            (Some(other), _) => Err(TransportError::Frame {
                 detail: format!("expected Msg/Empty from {party}, got {other:?}"),
             }),
+            (None, failed) => Err(failed.unwrap_or(TransportError::PeerDisconnected { party })),
         }
     }
 
@@ -1097,51 +1374,19 @@ impl Transport for SocketTransport {
         party: PartyId,
         timeout: Duration,
     ) -> Result<(PartyId, Message), TransportError> {
-        if self.is_dead(party) {
-            return Err(TransportError::PeerDisconnected { party });
-        }
-        if self.local.lock().contains_key(&party) {
-            // Sleep-poll in 1 ms ticks instead of reading a wall clock
-            // (denied on library paths by the determinism lint). Local
-            // inboxes are filled by this process's own sends, so the first
-            // check succeeds in the healthy case.
-            let millis = timeout.as_millis();
-            let mut remaining =
-                if millis > u128::from(u64::MAX) { u64::MAX } else { millis as u64 };
-            loop {
-                if let Some(inbox) = self.local.lock().get_mut(&party) {
-                    if let Some(entry) = inbox.pop_front() {
-                        return Ok(entry);
-                    }
-                } else {
-                    // Severed while we were polling.
-                    return Err(TransportError::PeerDisconnected { party });
-                }
-                if remaining == 0 {
-                    return Err(self.meter.timeout_error(party, timeout));
-                }
-                std::thread::sleep(POLL_INTERVAL);
-                remaining -= 1;
-            }
-        }
-        if !self.remotes.lock().contains_key(&party) {
-            return Err(TransportError::UnknownParty(party));
-        }
-        let millis = timeout.as_millis();
-        let timeout_ms = if millis > u128::from(u64::MAX) { u64::MAX } else { millis as u64 };
-        // The node waits `timeout_ms` then answers `TimedOut`; our own read
-        // deadline only fires if the node itself stopped responding.
-        match self.transact(
-            party,
-            &Frame::RecvReq { timeout_ms },
-            timeout.saturating_add(RECV_MARGIN),
-        )? {
-            Frame::Msg { from, payload } => Ok((from, Message::decode(payload)?)),
-            Frame::TimedOut => Err(self.meter.timeout_error(party, timeout)),
-            other => Err(TransportError::Frame {
-                detail: format!("expected Msg/TimedOut from {party}, got {other:?}"),
-            }),
-        }
+        self.pop_each(&[(party, None)], timeout)?.pop().ok_or(TransportError::InboxEmpty(party))
+    }
+
+    /// Requests every remote position up front (one `RecvReq` burst per
+    /// link) and checks the replies in order — see
+    /// [`SocketTransport::pop_each`].
+    fn recv_each(
+        &self,
+        expects: &[(PartyId, &'static str)],
+    ) -> Result<Vec<(PartyId, Message)>, TransportError> {
+        let wants: Vec<(PartyId, Option<&'static str>)> =
+            expects.iter().map(|&(party, kind)| (party, Some(kind))).collect();
+        self.pop_each(&wants, self.recv_timeout_bound())
     }
 
     fn recv_timeout_bound(&self) -> Duration {

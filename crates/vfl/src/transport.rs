@@ -468,6 +468,26 @@ pub trait Transport {
         Ok((from, msg))
     }
 
+    /// The receive half of a fan-out phase: pops one message at each
+    /// `(party, expected)` position, in order, each checked like
+    /// [`Transport::recv_expect`], and returns them in that order. A party
+    /// may appear several times (it then pops that many messages, FIFO).
+    ///
+    /// The default is a loop of [`Transport::recv_expect`]; a backend whose
+    /// receives cross a link (the socket backend) overrides it to request
+    /// every position before waiting on any reply.
+    ///
+    /// # Errors
+    ///
+    /// The first failing position's [`Transport::recv_expect`] error; the
+    /// batch stops there.
+    fn recv_each(
+        &self,
+        expects: &[(PartyId, &'static str)],
+    ) -> Result<Vec<(PartyId, Message)>, TransportError> {
+        expects.iter().map(|&(party, expected)| self.recv_expect(party, expected)).collect()
+    }
+
     /// Fan-in: pops one `expected`-variant message from each of `senders`
     /// at `at`'s inbox and returns them **in `senders` order**, regardless
     /// of arrival order. This is what keeps the pipelined schedule
@@ -907,6 +927,55 @@ mod tests {
         net.send(PartyId::Client(0), PartyId::Server, Message::ShuffleSeedShare { share: 4 })
             .unwrap();
         assert!(net.recv_expect(PartyId::Server, "ShuffleSeedShare").is_ok());
+    }
+
+    #[test]
+    fn recv_each_is_a_recv_expect_loop_that_stops_at_the_first_error() {
+        let fill = || {
+            let net = Network::new(2);
+            for (to, share) in [(0, 1), (1, 2), (0, 3)] {
+                net.send(PartyId::Server, PartyId::Client(to), Message::ShuffleSeedShare { share })
+                    .unwrap();
+            }
+            net
+        };
+        let want = [
+            (PartyId::Client(0), "ShuffleSeedShare"),
+            (PartyId::Client(1), "ShuffleSeedShare"),
+            (PartyId::Client(0), "ShuffleSeedShare"),
+        ];
+        let looped = fill();
+        let expected: Vec<_> =
+            want.iter().map(|&(p, k)| looped.recv_expect(p, k).unwrap()).collect();
+        assert_eq!(fill().recv_each(&want).unwrap(), expected);
+
+        // A wrong kind at position 1 fails the batch there: client 1's
+        // message is consumed (as `recv_expect` consumes it) but client 0's
+        // second one is never popped.
+        let net = fill();
+        let err = net
+            .recv_each(&[
+                (PartyId::Client(0), "ShuffleSeedShare"),
+                (PartyId::Client(1), "GenSlice"),
+                (PartyId::Client(0), "ShuffleSeedShare"),
+            ])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::ProtocolViolation {
+                from: PartyId::Server,
+                expected: "GenSlice",
+                got: Message::ShuffleSeedShare { share: 2 },
+            }
+        );
+        assert_eq!(
+            net.try_recv(PartyId::Client(1)),
+            Err(TransportError::InboxEmpty(PartyId::Client(1)))
+        );
+        assert_eq!(
+            net.try_recv(PartyId::Client(0)).unwrap().1,
+            Message::ShuffleSeedShare { share: 3 }
+        );
     }
 
     #[test]

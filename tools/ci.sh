@@ -49,9 +49,13 @@ step "socket loopback (transport-backend equivalence)"
 # Real TCP and Unix-domain PartyNodes behind SocketTransport must train to
 # byte-identical weights and identical byte accounting vs the in-process
 # backend, and handshake/crash failures must be typed errors (DESIGN.md
-# §13). Part of the workspace run above; re-run un-quieted so the gate
-# names each backend and party count it proved.
+# §13). The pipelining suite pins the batched exchange (one write burst and
+# one read burst per fan-out phase) to sequential send/recv_expect and to
+# the in-process backend, faults and dead nodes inside a batch included.
+# Part of the workspace run above; re-run un-quieted so the gate names each
+# backend, party count and failure mode it proved.
 cargo test -p gtv-suite --test socket_loopback
+cargo test -p gtv-vfl --test pipelining
 
 step "schedule explorer (protocol-conformance, dynamic half)"
 # The loom-lite explorer over real trainer rounds (DESIGN.md §11): permuted
